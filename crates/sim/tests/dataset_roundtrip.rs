@@ -10,56 +10,15 @@
 //! round-trip `Display` form, timestamps as exact multiples of the
 //! sample period, so nothing is lost either way.
 
-use cavm_sim::{
-    MetricSink, PeriodRecord, Policy, QosGuard, RepackEvent, RepackTrigger, ScenarioBuilder,
-    SimReport, ViolationEvent,
-};
+mod common;
+
+use cavm_sim::{Policy, QosGuard, RepackTrigger, ScenarioBuilder};
 use cavm_workload::datacenter::{DatacenterTraceBuilder, VmFleet};
 use cavm_workload::dataset::{assemble, write_azure_csv, AzureTraceReader};
 use cavm_workload::lifecycle::{ArrivalProcess, Lifecycle, LifecycleBuilder, LifetimeModel};
+use common::Recorder;
 use proptest::prelude::*;
 use std::io::Cursor;
-
-/// Records every sink callback as a rendered line, so two runs can be
-/// compared event-for-event (not just on the aggregated report).
-#[derive(Default)]
-struct Recorder {
-    events: Vec<String>,
-}
-
-impl MetricSink for Recorder {
-    fn on_period(&mut self, record: &PeriodRecord) {
-        self.events.push(format!("period {record:?}"));
-    }
-    fn on_repack(&mut self, event: &RepackEvent) {
-        self.events.push(format!("repack {event:?}"));
-    }
-    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
-        self.events
-            .push(format!("migrate p{period} vm{vm} {from}->{to}"));
-    }
-    fn on_violation(&mut self, event: &ViolationEvent) {
-        self.events.push(format!("violation {event:?}"));
-    }
-    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
-        self.events.push(format!(
-            "energy p{period} class{class} {name} {period_joules}"
-        ));
-    }
-    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
-        self.events.push(format!("admit s{sample} vm{vm}@{server}"));
-    }
-    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
-        self.events
-            .push(format!("fail s{sample} srv{server} residents{residents}"));
-    }
-    fn on_server_recover(&mut self, sample: usize, server: usize) {
-        self.events.push(format!("recover s{sample} srv{server}"));
-    }
-    fn on_summary(&mut self, report: &SimReport) {
-        self.events.push(format!("summary {report:?}"));
-    }
-}
 
 /// Runs one guarded open-system scenario and returns its full event
 /// stream (the terminal `summary` line renders the whole report, so
