@@ -771,14 +771,6 @@ impl ShardedController {
         self.inner.get(cell)
     }
 
-    /// An independent copy of the whole sharded session, cell-wise.
-    ///
-    /// Alias of [`fork`](Self::fork); see
-    /// [`DatacenterController::snapshot`] for the semantics.
-    pub fn snapshot(&self) -> Self {
-        self.clone()
-    }
-
     /// Forks the sharded session: every cell's flat controller is
     /// cloned independently along with the O(cells) routing state.
     /// Events applied to the fork never touch the original and vice

@@ -1,10 +1,9 @@
 //! Scenario description and builder.
 
-use crate::controller::{
-    ControllerConfig, DatacenterController, OvercommitConfig, QosGuard, RepackTrigger,
-};
+use crate::controller::{DatacenterController, OvercommitConfig, QosGuard, RepackTrigger};
 use crate::SimError;
 use cavm_core::alloc::proposed::ProposedConfig;
+use cavm_core::alloc::ProposedPolicy;
 use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::ServerFleet;
 use cavm_power::LinearPowerModel;
@@ -623,6 +622,181 @@ impl ScenarioBuilder {
     }
 }
 
+/// Static configuration of a controller session — the scenario knobs
+/// minus the trace fleet (traces arrive with the VMs).
+#[derive(Debug, Clone)]
+pub struct ControllerConfig {
+    /// The server fleet to place onto. Must be bounded.
+    pub server_fleet: ServerFleet,
+    /// Placement policy (periodic re-packs *and* the incremental
+    /// admission rule).
+    pub policy: Policy,
+    /// When the live placement is re-packed (default:
+    /// [`RepackTrigger::Periodic`], the paper's fixed schedule).
+    pub repack_trigger: RepackTrigger,
+    /// The QoS dimension of the re-pack schedule: fire an off-cycle
+    /// re-pack when the observed worst per-server violation ratio of
+    /// the running period exceeds the guard's threshold, and
+    /// force-repack overcommitted servers at placement-keeping period
+    /// boundaries. `None` (the default) disables both checks.
+    pub qos_guard: Option<QosGuard>,
+    /// Upper bound for the adaptive fragmentation slack: when set, a
+    /// [`SlackController`](crate::SlackController) walks the slack between the trigger's
+    /// configured value and this bound from each fired re-pack's
+    /// realized servers-freed-per-migration gain. Requires a trigger
+    /// with a fragmentation dimension; `None` keeps the slack static.
+    pub adaptive_slack_max: Option<u32>,
+    /// Deliberate correlation-gap overcommit: when set, admission and
+    /// re-packs accept predicted per-VM sums up to `capacity × (1 +
+    /// margin)` on servers whose Eqn (1) coincident estimate stays
+    /// within plain capacity, with a per-class
+    /// [`OvercommitController`](crate::OvercommitController) walking the live margin from observed
+    /// violation ratios. Requires a configured [`qos_guard`] (the
+    /// reactive backstop); suspended in degraded mode. `None` (the
+    /// default) keeps every margin at zero — bit-identical to the
+    /// margin-free controller.
+    ///
+    /// [`qos_guard`]: ControllerConfig::qos_guard
+    pub overcommit: Option<OvercommitConfig>,
+    /// Static or dynamic frequency scaling.
+    pub dvfs_mode: DvfsMode,
+    /// Samples per placement period.
+    pub period_samples: usize,
+    /// Reference utilization for provisioning.
+    pub reference: Reference,
+    /// Relative headroom of the dynamic governor.
+    pub dynamic_headroom: f64,
+    /// Demand assumed for a VM before its first observed period — also
+    /// the provisioning used to admit a brand-new arrival.
+    pub default_demand: f64,
+    /// Monitoring sample interval, seconds (the energy-integration dt).
+    pub sample_dt_s: f64,
+    /// Capacity of the degraded-mode deferred-admission queue: how
+    /// many live-but-unplaceable VMs the controller will hold and
+    /// retry (each tick, at every recovery and at period boundaries)
+    /// after server failures shrink the fleet. An event that would
+    /// overflow the queue is rejected atomically with
+    /// [`SimError::DeferredQueueFull`]. Must be at least 1.
+    pub max_deferred: usize,
+}
+
+impl ControllerConfig {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
+        if self.server_fleet.total_slots().is_none() {
+            return Err(SimError::InvalidParameter(
+                "controller fleets must be bounded (no UNBOUNDED classes)",
+            ));
+        }
+        if self.period_samples == 0 {
+            return Err(SimError::InvalidParameter(
+                "period must be at least one sample",
+            ));
+        }
+        if self.repack_trigger.slack() == Some(0) {
+            // Slack 0 would fire on every armed tick regardless of
+            // fragmentation — a busy-loop, not a trigger.
+            return Err(SimError::InvalidParameter(
+                "fragmentation slack must be at least one server",
+            ));
+        }
+        if let Some(guard) = self.qos_guard {
+            if !(guard.violation_ratio.is_finite()
+                && guard.violation_ratio > 0.0
+                && guard.violation_ratio <= 1.0)
+            {
+                return Err(SimError::InvalidParameter(
+                    "qos guard violation ratio must lie in (0, 1]",
+                ));
+            }
+        }
+        if let Some(max) = self.adaptive_slack_max {
+            match self.repack_trigger.slack() {
+                None => {
+                    return Err(SimError::InvalidParameter(
+                        "adaptive slack requires a trigger with a fragmentation dimension",
+                    ))
+                }
+                Some(slack) if max < slack => {
+                    return Err(SimError::InvalidParameter(
+                        "adaptive slack bound must be at least the trigger's slack",
+                    ))
+                }
+                Some(_) => {}
+            }
+        }
+        if let Some(oc) = self.overcommit {
+            if self.qos_guard.is_none() {
+                return Err(SimError::InvalidParameter(
+                    "deliberate overcommit requires a qos guard as its reactive backstop",
+                ));
+            }
+            if !(oc.max_margin.is_finite() && oc.max_margin > 0.0 && oc.max_margin <= 1.0) {
+                return Err(SimError::InvalidParameter(
+                    "overcommit max margin must lie in (0, 1]",
+                ));
+            }
+            if !(oc.margin.is_finite() && oc.margin >= 0.0 && oc.margin <= oc.max_margin) {
+                return Err(SimError::InvalidParameter(
+                    "overcommit margin must lie in [0, max_margin]",
+                ));
+            }
+        }
+        if !(self.dynamic_headroom.is_finite() && self.dynamic_headroom >= 0.0) {
+            return Err(SimError::InvalidParameter("dynamic headroom must be >= 0"));
+        }
+        if !(self.default_demand.is_finite() && self.default_demand > 0.0) {
+            return Err(SimError::InvalidParameter("default demand must be > 0"));
+        }
+        if !(self.sample_dt_s.is_finite() && self.sample_dt_s > 0.0) {
+            return Err(SimError::InvalidParameter(
+                "sample interval must be finite and > 0",
+            ));
+        }
+        if self.max_deferred == 0 {
+            return Err(SimError::InvalidParameter(
+                "deferred-admission queue needs at least one slot",
+            ));
+        }
+        if let Policy::Proposed(config) = self.policy {
+            // Surface a bad tuning at session construction, not at the
+            // first period boundary (or, worse, silently at an
+            // incremental admit).
+            ProposedPolicy::new(config).map_err(SimError::Core)?;
+        }
+        if let Policy::Pcp {
+            envelope_percentile,
+            affinity_threshold,
+        } = self.policy
+        {
+            if !(0.0 < envelope_percentile && envelope_percentile < 100.0) {
+                return Err(SimError::InvalidParameter(
+                    "pcp envelope percentile must lie in (0, 100)",
+                ));
+            }
+            if !(0.0..=1.0).contains(&affinity_threshold) {
+                return Err(SimError::InvalidParameter(
+                    "pcp affinity threshold must lie in [0, 1]",
+                ));
+            }
+        }
+        if let Policy::SuperVm { min_pair_cost } = self.policy {
+            if !min_pair_cost.is_finite() {
+                return Err(SimError::InvalidParameter(
+                    "super-vm pair-cost threshold must be finite",
+                ));
+            }
+        }
+        if let DvfsMode::Dynamic { interval_samples } = self.dvfs_mode {
+            if interval_samples == 0 {
+                return Err(SimError::InvalidParameter(
+                    "dynamic interval must be >= 1 sample",
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,5 +947,55 @@ mod tests {
             .server_fleet(unbounded)
             .build()
             .is_err());
+    }
+
+    fn config_with(
+        overcommit: Option<OvercommitConfig>,
+        guard: Option<QosGuard>,
+    ) -> ControllerConfig {
+        ControllerConfig {
+            server_fleet: ServerFleet::uniform(
+                8,
+                8.0,
+                cavm_power::LinearPowerModel::xeon_e5410(),
+            )
+            .unwrap(),
+            policy: Policy::Proposed(Default::default()),
+            repack_trigger: RepackTrigger::Periodic,
+            qos_guard: guard,
+            adaptive_slack_max: None,
+            overcommit,
+            dvfs_mode: DvfsMode::Static,
+            period_samples: 16,
+            reference: Reference::Peak,
+            dynamic_headroom: 0.1,
+            default_demand: 1.0,
+            sample_dt_s: 5.0,
+            max_deferred: 64,
+        }
+    }
+
+    #[test]
+    fn overcommit_config_validation() {
+        let guard = Some(QosGuard {
+            violation_ratio: 0.05,
+        });
+        let oc = |margin, max_margin| Some(OvercommitConfig { margin, max_margin });
+
+        config_with(oc(0.0, 0.25), guard)
+            .validate()
+            .expect("margin 0 with a guard is valid");
+        assert!(
+            config_with(oc(0.0, 0.25), None).validate().is_err(),
+            "overcommit requires the guard"
+        );
+        assert!(
+            config_with(oc(0.0, 0.0), guard).validate().is_err(),
+            "max_margin must be positive"
+        );
+        assert!(
+            config_with(oc(0.5, 0.25), guard).validate().is_err(),
+            "margin must not exceed max_margin"
+        );
     }
 }

@@ -1,4 +1,6 @@
-//! Sink adapters — composable wrappers around a [`MetricSink`].
+//! The metric-sink seam: the [`MetricSink`] trait the controller
+//! streams through, the events it carries, the built-in sinks, and
+//! composable adapters around any sink.
 //!
 //! The controller delivers every event synchronously: a sink that
 //! renders a dashboard, writes a socket or flushes a file would stall
@@ -10,8 +12,8 @@
 //! flush points — every completed period, at the terminal summary, or
 //! whenever the caller asks via [`Buffered::drain`].
 //!
-//! [`Threaded`] keeps exactly the same producer-side semantics but
-//! delivers each flushed batch on a dedicated worker thread, so an
+//! [`Threaded`] shares that queue and its drop rule and differs only in
+//! where a flushed batch goes: to a dedicated worker thread, so an
 //! expensive sink overlaps with simulation instead of stalling it.
 //! The wrapped sink moves into the worker; [`Threaded::finish`] joins
 //! and returns it (or the typed
@@ -59,13 +61,308 @@
 //! assert_eq!(sink.inner().violations, 2);
 //! ```
 
-use crate::controller::{MetricSink, RepackEvent, ViolationEvent};
 use crate::error::SimError;
 use crate::report::{PeriodRecord, SimReport};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::mpsc;
 use std::thread;
+
+/// Why a re-pack ran, carried by [`RepackEvent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RepackReason {
+    /// The period clock (Fig 2's every-`t_period` ALLOCATE pass). The
+    /// session's first placement of a live VM set fires with this
+    /// reason under every trigger.
+    Periodic,
+    /// The fragmentation predicate fired off-cycle: the Eqn (3) bound
+    /// `estimate` had dropped at least `slack` below the `active`
+    /// server count.
+    Fragmentation {
+        /// Eqn (3) lower bound at the firing instant.
+        estimate: usize,
+        /// Active (non-empty) servers at the firing instant.
+        active: usize,
+    },
+    /// The [`QosGuard`](crate::QosGuard) fired off-cycle: some server had accumulated
+    /// `violations` over-capacity samples this period, pushing the
+    /// worst per-server violation ratio past the guard's threshold.
+    /// The breaching servers were surgically re-packed — predictions
+    /// refreshed from the period's observed samples, largest members
+    /// trimmed onto other servers until the refreshed load fits.
+    QosGuard {
+        /// Worst per-server over-capacity sample count at the firing
+        /// instant (divide by the period length for the ratio).
+        violations: usize,
+    },
+    /// A placement-keeping period boundary's capacity check (active
+    /// when a [`QosGuard`](crate::QosGuard) is configured) evicted and re-admitted the
+    /// members of `servers` servers whose refreshed predicted Eqn (2)
+    /// aggregate exceeded their capacity.
+    Overcommit {
+        /// Servers whose predicted aggregate exceeded capacity.
+        servers: usize,
+    },
+    /// Server `server` failed ([`VmEvent::ServerFail`](crate::VmEvent::ServerFail)) and its
+    /// residents were emergency-evacuated: each re-admitted through
+    /// the active policy's single-VM rule with every failed server
+    /// excluded. `migrations` counts the residents that landed on an
+    /// outliving server; the rest entered the deferred-admission
+    /// queue. Unlike every other reason this is not a consolidation
+    /// move and does not count toward
+    /// [`SimReport::offcycle_repacks`](crate::SimReport::offcycle_repacks).
+    Evacuation {
+        /// The failed server the residents fled.
+        server: usize,
+    },
+    /// A hypothetical re-pack run by a [`WhatIf`](crate::WhatIf) probe on a **fork**
+    /// of the live session. Never emitted by a live controller: the
+    /// event only ever reaches the probe's internal capture sink (or a
+    /// sink the caller drives the fork with directly), and the live
+    /// session's state, counters and stream are untouched.
+    WhatIf,
+}
+
+/// One full re-pack of the live placement, as streamed to
+/// [`MetricSink::on_repack`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RepackEvent {
+    /// Global sample index at which the re-pack ran.
+    pub sample: usize,
+    /// Placement period the re-pack belongs to.
+    pub period: usize,
+    /// What fired it.
+    pub reason: RepackReason,
+    /// Active servers before the re-pack.
+    pub servers_before: usize,
+    /// Active servers after the re-pack.
+    pub servers_after: usize,
+    /// VMs whose server changed in the re-pack.
+    pub migrations: usize,
+    /// Fragmentation slack in effect *after* this re-pack — the
+    /// [`SlackController`](crate::SlackController) may have just adapted it from the re-pack's
+    /// realized outcome. `None` when the schedule has no fragmentation
+    /// dimension ([`RepackTrigger::Periodic`](crate::RepackTrigger::Periodic)).
+    pub slack_after: Option<u32>,
+}
+
+/// One capacity violation instance, as streamed to
+/// [`MetricSink::on_violation`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ViolationEvent {
+    /// Global sample index.
+    pub sample: usize,
+    /// Placement period index.
+    pub period: usize,
+    /// Server (placement bin) index.
+    pub server: usize,
+    /// Fleet class of the server.
+    pub class: usize,
+    /// Aggregate demand at the instant, cores.
+    pub demand: f64,
+    /// Frequency-scaled capacity it exceeded, cores.
+    pub capacity: f64,
+}
+
+/// Streaming observer of a controller session. All methods default to
+/// no-ops; implement the ones you care about.
+///
+/// # Example
+///
+/// A sink that tallies periods and narrates every re-pack (periodic
+/// *and* fragmentation-fired):
+///
+/// ```
+/// use cavm_sim::{MetricSink, PeriodRecord, RepackEvent, RepackReason};
+///
+/// #[derive(Default)]
+/// struct Tally {
+///     periods: usize,
+///     offcycle: usize,
+/// }
+///
+/// impl MetricSink for Tally {
+///     fn on_period(&mut self, _record: &PeriodRecord) {
+///         self.periods += 1;
+///     }
+///
+///     fn on_repack(&mut self, event: &RepackEvent) {
+///         if let RepackReason::Fragmentation { estimate, active } = event.reason {
+///             self.offcycle += 1;
+///             println!(
+///                 "t={} re-pack: {} servers packed into {} (bound {})",
+///                 event.sample, active, event.servers_after, estimate,
+///             );
+///         }
+///     }
+/// }
+///
+/// let mut sink = Tally::default();
+/// sink.on_repack(&RepackEvent {
+///     sample: 900,
+///     period: 1,
+///     reason: RepackReason::Fragmentation { estimate: 3, active: 5 },
+///     servers_before: 5,
+///     servers_after: 3,
+///     migrations: 4,
+///     slack_after: Some(1),
+/// });
+/// assert_eq!(sink.offcycle, 1);
+/// ```
+pub trait MetricSink {
+    /// A placement period completed.
+    fn on_period(&mut self, record: &PeriodRecord) {
+        let _ = record;
+    }
+
+    /// A full re-pack of the live placement ran — at a period boundary
+    /// ([`RepackReason::Periodic`]) or fired off-cycle by a
+    /// [`RepackTrigger`](crate::RepackTrigger) fragmentation predicate
+    /// ([`RepackReason::Fragmentation`]).
+    fn on_repack(&mut self, event: &RepackEvent) {
+        let _ = event;
+    }
+
+    /// A VM moved servers across a period boundary (migration).
+    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
+        let _ = (period, vm, from, to);
+    }
+
+    /// A server exceeded its frequency-scaled capacity for one sample.
+    fn on_violation(&mut self, event: &ViolationEvent) {
+        let _ = event;
+    }
+
+    /// Energy a server class consumed over the just-completed period.
+    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
+        let _ = (period, class, name, period_joules);
+    }
+
+    /// A mid-period arrival was admitted through the incremental
+    /// single-VM placement path.
+    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
+        let _ = (sample, vm, server);
+    }
+
+    /// A server failed ([`VmEvent::ServerFail`](crate::VmEvent::ServerFail)); `residents` is the
+    /// number of VMs about to be emergency-evacuated. Fires before the
+    /// evacuation's migrations and its
+    /// [`RepackReason::Evacuation`] re-pack event.
+    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
+        let _ = (sample, server, residents);
+    }
+
+    /// A failed server recovered ([`VmEvent::ServerRecover`](crate::VmEvent::ServerRecover)); fires
+    /// before the deferred-admission queue retries.
+    fn on_server_recover(&mut self, sample: usize, server: usize) {
+        let _ = (sample, server);
+    }
+
+    /// The session finished; `report` is the terminal aggregate (the
+    /// same `SimReport` the batch API returns).
+    fn on_summary(&mut self, report: &SimReport) {
+        let _ = report;
+    }
+}
+
+/// A sink that ignores every event — for callers that only want the
+/// terminal report via
+/// [`DatacenterController::report`](crate::DatacenterController::report).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NullSink;
+
+impl MetricSink for NullSink {}
+
+/// Collects the stream back into batch-shaped results: the period
+/// records as they arrive and the terminal [`SimReport`] — this is the
+/// sink `Scenario::run` drives to keep the old API working.
+#[derive(Debug, Clone, Default)]
+pub struct ReportSink {
+    periods: Vec<PeriodRecord>,
+    repacks: Vec<RepackEvent>,
+    migrations: usize,
+    violations: usize,
+    admissions: usize,
+    report: Option<SimReport>,
+}
+
+impl ReportSink {
+    /// An empty sink.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Period records streamed so far.
+    pub fn periods(&self) -> &[PeriodRecord] {
+        &self.periods
+    }
+
+    /// Migration events streamed so far.
+    pub fn migrations(&self) -> usize {
+        self.migrations
+    }
+
+    /// Violation instances streamed so far.
+    pub fn violations(&self) -> usize {
+        self.violations
+    }
+
+    /// Incremental admissions streamed so far.
+    pub fn admissions(&self) -> usize {
+        self.admissions
+    }
+
+    /// Every re-pack streamed so far (periodic and off-cycle).
+    pub fn repacks(&self) -> &[RepackEvent] {
+        &self.repacks
+    }
+
+    /// Off-cycle re-packs streamed so far — fragmentation-fired plus
+    /// [`QosGuard`](crate::QosGuard)-fired (boundary [`RepackReason::Overcommit`]
+    /// capacity checks ride the period clock and are not counted).
+    pub fn offcycle_repacks(&self) -> usize {
+        self.repacks
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.reason,
+                    RepackReason::Fragmentation { .. } | RepackReason::QosGuard { .. }
+                )
+            })
+            .count()
+    }
+
+    /// The terminal report, once [`MetricSink::on_summary`] has fired.
+    pub fn into_report(self) -> Option<SimReport> {
+        self.report
+    }
+}
+
+impl MetricSink for ReportSink {
+    fn on_period(&mut self, record: &PeriodRecord) {
+        self.periods.push(record.clone());
+    }
+
+    fn on_repack(&mut self, event: &RepackEvent) {
+        self.repacks.push(*event);
+    }
+
+    fn on_migration(&mut self, _period: usize, _vm: usize, _from: usize, _to: usize) {
+        self.migrations += 1;
+    }
+
+    fn on_violation(&mut self, _event: &ViolationEvent) {
+        self.violations += 1;
+    }
+
+    fn on_admit(&mut self, _sample: usize, _vm: usize, _server: usize) {
+        self.admissions += 1;
+    }
+
+    fn on_summary(&mut self, report: &SimReport) {
+        self.report = Some(report.clone());
+    }
+}
 
 /// One buffered controller event, in delivery order.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,14 +456,137 @@ impl SinkEvent {
     }
 }
 
-/// A bounded, batching adapter around an inner [`MetricSink`]. See the
-/// [module docs](self).
+/// The bounded queue both adapters share, with their one drop rule: an
+/// event arriving at a full queue is dropped and counted. Period
+/// records and the terminal summary are delivered at the flush points
+/// themselves and never queued, so they can never be dropped.
+#[derive(Debug, Clone)]
+struct Queue {
+    events: VecDeque<SinkEvent>,
+    capacity: usize,
+    dropped: u64,
+}
+
+impl Queue {
+    /// A queue of at most `capacity` events, clamped up to 1 — a
+    /// zero-capacity queue would drop every between-boundary event
+    /// unseen.
+    fn new(capacity: usize) -> Self {
+        Self {
+            events: VecDeque::with_capacity(capacity.clamp(1, 4096)),
+            capacity: capacity.max(1),
+            dropped: 0,
+        }
+    }
+
+    fn push(&mut self, event: SinkEvent) {
+        if self.events.len() >= self.capacity {
+            self.dropped += 1;
+        } else {
+            self.events.push_back(event);
+        }
+    }
+}
+
+/// Where an adapter's queued events go at a flush point — the only
+/// thing [`Buffered`] and [`Threaded`] do differently.
+trait Flush {
+    fn queue(&mut self) -> &mut Queue;
+
+    /// Delivers every queued event in arrival order, followed by
+    /// `period` when the flush is a period boundary.
+    fn flush_batch(&mut self, period: Option<&PeriodRecord>);
+
+    /// Delivers the terminal report, drop counter already folded in.
+    fn deliver_summary(&mut self, report: SimReport);
+}
+
+/// The one [`MetricSink`] → [`SinkEvent`] forwarding, implemented for
+/// both adapters over their [`Flush`] target.
+macro_rules! queued_metric_sink {
+    ($adapter:ident: $($bound:tt)+) => {
+        impl<S: $($bound)+> MetricSink for $adapter<S> {
+            fn on_period(&mut self, record: &PeriodRecord) {
+                // The period boundary is the flush point: the queued
+                // events precede the record in stream order, and the
+                // record never touches the bounded queue.
+                self.flush_batch(Some(record));
+            }
+
+            fn on_repack(&mut self, event: &RepackEvent) {
+                self.queue().push(SinkEvent::Repack(*event));
+            }
+
+            fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
+                self.queue().push(SinkEvent::Migration {
+                    period,
+                    vm,
+                    from,
+                    to,
+                });
+            }
+
+            fn on_violation(&mut self, event: &ViolationEvent) {
+                self.queue().push(SinkEvent::Violation(*event));
+            }
+
+            fn on_class_energy(
+                &mut self,
+                period: usize,
+                class: usize,
+                name: &str,
+                period_joules: f64,
+            ) {
+                self.queue().push(SinkEvent::ClassEnergy {
+                    period,
+                    class,
+                    name: name.to_string(),
+                    period_joules,
+                });
+            }
+
+            fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
+                self.queue().push(SinkEvent::Admit { sample, vm, server });
+            }
+
+            fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
+                self.queue().push(SinkEvent::ServerFail {
+                    sample,
+                    server,
+                    residents,
+                });
+            }
+
+            fn on_server_recover(&mut self, sample: usize, server: usize) {
+                self.queue().push(SinkEvent::ServerRecover { sample, server });
+            }
+
+            fn on_summary(&mut self, report: &SimReport) {
+                // Everything still queued is delivered before the
+                // summary, and the summary itself is never queued (nor
+                // droppable): the inner sink sees it exactly once, with
+                // the adapter's drop counter folded in. The fold is
+                // **additive** — a controller report always arrives
+                // with `sink_dropped_events == 0`, so standalone
+                // behaviour is unchanged, but when adapters nest (e.g.
+                // `Threaded<Buffered<S>>`) each layer adds its own
+                // drops instead of the inner layer overwriting the
+                // outer layer's count.
+                self.flush_batch(None);
+                let mut report = report.clone();
+                report.sink_dropped_events += self.queue().dropped;
+                self.deliver_summary(report);
+            }
+        }
+    };
+}
+
+/// A bounded, batching adapter around an inner [`MetricSink`] that
+/// delivers each flushed batch inline. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Buffered<S> {
     inner: S,
-    queue: VecDeque<SinkEvent>,
-    capacity: usize,
-    dropped: u64,
+    queue: Queue,
 }
 
 impl<S: MetricSink> Buffered<S> {
@@ -178,9 +598,7 @@ impl<S: MetricSink> Buffered<S> {
     pub fn new(inner: S, capacity: usize) -> Self {
         Self {
             inner,
-            queue: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-            capacity: capacity.max(1),
-            dropped: 0,
+            queue: Queue::new(capacity),
         }
     }
 
@@ -202,102 +620,42 @@ impl<S: MetricSink> Buffered<S> {
 
     /// Events currently queued and not yet delivered.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queue.events.len()
     }
 
     /// Events dropped on queue overflow so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.queue.dropped
     }
 
     /// Delivers every queued event to the inner sink, in arrival
     /// order. Called automatically on every completed period and at
     /// the terminal summary.
     pub fn drain(&mut self) {
-        while let Some(event) = self.queue.pop_front() {
+        while let Some(event) = self.queue.events.pop_front() {
             event.deliver(&mut self.inner);
         }
     }
-
-    /// Enqueues one event, dropping (and counting) it when the queue
-    /// is at capacity.
-    fn enqueue(&mut self, event: SinkEvent) {
-        if self.queue.len() >= self.capacity {
-            self.dropped += 1;
-        } else {
-            self.queue.push_back(event);
-        }
-    }
 }
 
-impl<S: MetricSink> MetricSink for Buffered<S> {
-    fn on_period(&mut self, record: &PeriodRecord) {
-        // The period boundary is the flush point: drain the queued
-        // events first (they precede the record in stream order), then
-        // deliver the record directly — a flush-point record never
-        // touches the bounded queue, so it can never be dropped.
+impl<S: MetricSink> Flush for Buffered<S> {
+    fn queue(&mut self) -> &mut Queue {
+        &mut self.queue
+    }
+
+    fn flush_batch(&mut self, period: Option<&PeriodRecord>) {
         self.drain();
-        self.inner.on_period(record);
+        if let Some(record) = period {
+            self.inner.on_period(record);
+        }
     }
 
-    fn on_repack(&mut self, event: &RepackEvent) {
-        self.enqueue(SinkEvent::Repack(*event));
-    }
-
-    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
-        self.enqueue(SinkEvent::Migration {
-            period,
-            vm,
-            from,
-            to,
-        });
-    }
-
-    fn on_violation(&mut self, event: &ViolationEvent) {
-        self.enqueue(SinkEvent::Violation(*event));
-    }
-
-    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
-        self.enqueue(SinkEvent::ClassEnergy {
-            period,
-            class,
-            name: name.to_string(),
-            period_joules,
-        });
-    }
-
-    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
-        self.enqueue(SinkEvent::Admit { sample, vm, server });
-    }
-
-    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
-        self.enqueue(SinkEvent::ServerFail {
-            sample,
-            server,
-            residents,
-        });
-    }
-
-    fn on_server_recover(&mut self, sample: usize, server: usize) {
-        self.enqueue(SinkEvent::ServerRecover { sample, server });
-    }
-
-    fn on_summary(&mut self, report: &SimReport) {
-        // Everything still queued is delivered before the summary, and
-        // the summary itself is never queued (nor droppable): the
-        // inner sink sees it exactly once, with the adapter's drop
-        // counter folded in. The fold is **additive** — a controller
-        // report always arrives with `sink_dropped_events == 0`, so
-        // standalone behaviour is unchanged, but when adapters nest
-        // (e.g. [`Threaded`]`<Buffered<S>>`) each layer adds its own
-        // drops instead of the inner layer overwriting the outer
-        // layer's count.
-        self.drain();
-        let mut report = report.clone();
-        report.sink_dropped_events += self.dropped;
+    fn deliver_summary(&mut self, report: SimReport) {
         self.inner.on_summary(&report);
     }
 }
+
+queued_metric_sink!(Buffered: MetricSink);
 
 /// Messages crossing the channel between a [`Threaded`] producer and
 /// its worker thread. Batches only ever cross at flush points, so the
@@ -315,15 +673,15 @@ enum WorkerMsg {
 /// A [`Buffered`]-compatible adapter that delivers batches on a real
 /// `std::thread` worker, overlapping sink I/O with simulation.
 ///
-/// The producer side is **identical** to [`Buffered`]: events land in
-/// a bounded in-memory queue and an overflowing queue drops the
-/// incoming event and counts it. Because the drop decision happens on
-/// the replay thread against the same bounded queue, the set of
-/// dropped events — and therefore everything the wrapped sink
-/// eventually sees — is bit-for-bit the sequence [`Buffered`] would
-/// have delivered, regardless of thread scheduling. Only the *timing*
-/// of delivery differs: at each flush point the queued batch crosses a
-/// small bounded channel to the worker instead of running inline.
+/// The producer side is **the same queue** as [`Buffered`]'s: events
+/// land in a bounded in-memory queue and an overflowing queue drops
+/// the incoming event and counts it. Because the drop decision happens
+/// on the replay thread against that queue, the set of dropped events
+/// — and therefore everything the wrapped sink eventually sees — is
+/// bit-for-bit the sequence [`Buffered`] would have delivered,
+/// regardless of thread scheduling. Only the *timing* of delivery
+/// differs: at each flush point the queued batch crosses a small
+/// bounded channel to the worker instead of running inline.
 ///
 /// The wrapped sink **moves into** the worker thread — this is the
 /// answer to the `&mut self` handoff problem: the replay loop never
@@ -359,9 +717,7 @@ enum WorkerMsg {
 /// assert_eq!(count.0, 1);
 /// ```
 pub struct Threaded<S> {
-    queue: VecDeque<SinkEvent>,
-    capacity: usize,
-    dropped: u64,
+    queue: Queue,
     tx: Option<mpsc::SyncSender<WorkerMsg>>,
     worker: Option<thread::JoinHandle<S>>,
 }
@@ -369,9 +725,9 @@ pub struct Threaded<S> {
 impl<S> fmt::Debug for Threaded<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Threaded")
-            .field("queued", &self.queue.len())
-            .field("capacity", &self.capacity)
-            .field("dropped", &self.dropped)
+            .field("queued", &self.queue.events.len())
+            .field("capacity", &self.queue.capacity)
+            .field("dropped", &self.queue.dropped)
             .field("worker_alive", &self.worker.is_some())
             .finish()
     }
@@ -406,9 +762,7 @@ impl<S: MetricSink + Send + 'static> Threaded<S> {
             })
             .expect("spawn sink worker thread");
         Self {
-            queue: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-            capacity: capacity.max(1),
-            dropped: 0,
+            queue: Queue::new(capacity),
             tx: Some(tx),
             worker: Some(worker),
         }
@@ -417,12 +771,12 @@ impl<S: MetricSink + Send + 'static> Threaded<S> {
     /// Events currently queued on the producer side, not yet handed to
     /// the worker.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queue.events.len()
     }
 
     /// Events dropped on queue overflow so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.queue.dropped
     }
 
     /// Hands every queued event to the worker as one batch, in arrival
@@ -432,11 +786,7 @@ impl<S: MetricSink + Send + 'static> Threaded<S> {
     /// discarded without blocking (the panic surfaces at
     /// [`finish`](Self::finish)).
     pub fn flush(&mut self) {
-        if self.queue.is_empty() {
-            return;
-        }
-        let batch: Vec<SinkEvent> = self.queue.drain(..).collect();
-        self.send(WorkerMsg::Batch(batch));
+        self.flush_batch(None);
     }
 
     /// Closes the channel, joins the worker and returns the wrapped
@@ -455,24 +805,30 @@ impl<S: MetricSink + Send + 'static> Threaded<S> {
         worker.join().map_err(|_| SimError::SinkWorkerPanicked)
     }
 
-    /// Enqueues one event, dropping (and counting) it when the queue
-    /// is at capacity — byte-identical drop logic to
-    /// [`Buffered::enqueue`], which is what makes the adapter
-    /// deterministic under any thread schedule.
-    fn enqueue(&mut self, event: SinkEvent) {
-        if self.queue.len() >= self.capacity {
-            self.dropped += 1;
-        } else {
-            self.queue.push_back(event);
-        }
-    }
-
     fn send(&mut self, msg: WorkerMsg) {
         if let Some(tx) = &self.tx {
             // A send error means the worker panicked and dropped the
             // receiver; discard silently — `finish` reports the panic.
             let _ = tx.send(msg);
         }
+    }
+}
+
+impl<S: MetricSink + Send + 'static> Flush for Threaded<S> {
+    fn queue(&mut self) -> &mut Queue {
+        &mut self.queue
+    }
+
+    fn flush_batch(&mut self, period: Option<&PeriodRecord>) {
+        let mut batch: Vec<SinkEvent> = self.queue.events.drain(..).collect();
+        batch.extend(period.map(|record| SinkEvent::Period(record.clone())));
+        if !batch.is_empty() {
+            self.send(WorkerMsg::Batch(batch));
+        }
+    }
+
+    fn deliver_summary(&mut self, report: SimReport) {
+        self.send(WorkerMsg::Summary(report));
     }
 }
 
@@ -490,68 +846,7 @@ impl<S> Drop for Threaded<S> {
     }
 }
 
-impl<S: MetricSink + Send + 'static> MetricSink for Threaded<S> {
-    fn on_period(&mut self, record: &PeriodRecord) {
-        // Same flush point as `Buffered::on_period`: the queued events
-        // precede the record in stream order and the record itself
-        // never touches the bounded queue, so it can never be dropped.
-        let mut batch: Vec<SinkEvent> = self.queue.drain(..).collect();
-        batch.push(SinkEvent::Period(record.clone()));
-        self.send(WorkerMsg::Batch(batch));
-    }
-
-    fn on_repack(&mut self, event: &RepackEvent) {
-        self.enqueue(SinkEvent::Repack(*event));
-    }
-
-    fn on_migration(&mut self, period: usize, vm: usize, from: usize, to: usize) {
-        self.enqueue(SinkEvent::Migration {
-            period,
-            vm,
-            from,
-            to,
-        });
-    }
-
-    fn on_violation(&mut self, event: &ViolationEvent) {
-        self.enqueue(SinkEvent::Violation(*event));
-    }
-
-    fn on_class_energy(&mut self, period: usize, class: usize, name: &str, period_joules: f64) {
-        self.enqueue(SinkEvent::ClassEnergy {
-            period,
-            class,
-            name: name.to_string(),
-            period_joules,
-        });
-    }
-
-    fn on_admit(&mut self, sample: usize, vm: usize, server: usize) {
-        self.enqueue(SinkEvent::Admit { sample, vm, server });
-    }
-
-    fn on_server_fail(&mut self, sample: usize, server: usize, residents: usize) {
-        self.enqueue(SinkEvent::ServerFail {
-            sample,
-            server,
-            residents,
-        });
-    }
-
-    fn on_server_recover(&mut self, sample: usize, server: usize) {
-        self.enqueue(SinkEvent::ServerRecover { sample, server });
-    }
-
-    fn on_summary(&mut self, report: &SimReport) {
-        // Same order and additive drop fold as `Buffered::on_summary`:
-        // queued events first, then the summary exactly once, never
-        // droppable.
-        self.flush();
-        let mut report = report.clone();
-        report.sink_dropped_events += self.dropped;
-        self.send(WorkerMsg::Summary(report));
-    }
-}
+queued_metric_sink!(Threaded: MetricSink + Send + 'static);
 
 #[cfg(test)]
 mod tests {
