@@ -1,20 +1,23 @@
-//! Period boundaries and full re-packs: the Fig 2 UPDATE/ALLOCATE
-//! pass, installing a freshly packed placement, the placement-keeping
-//! boundary with its overcommit trim, the off-cycle re-pack, and the
-//! period-end observation that rebuilds the cost matrix.
+//! The placement period: the Fig 2 UPDATE/ALLOCATE pass at its
+//! boundary, installing a freshly packed placement, the
+//! placement-keeping boundary with its overcommit trim, the off-cycle
+//! re-pack, the per-sample replay that fills the period window, and
+//! the period-end observation that rebuilds the cost matrix.
 
-use super::{vacant, DatacenterController, VIOLATION_EPS};
+use super::{vacant, DatacenterController, VmSlot, VIOLATION_EPS};
 use crate::config::Policy;
 use crate::report::PeriodRecord;
-use crate::sink::{MetricSink, RepackReason};
+use crate::sink::{MetricSink, RepackReason, ViolationEvent};
 use crate::SimError;
 use cavm_core::alloc::{
     AllocationPolicy, BfdPolicy, FfdPolicy, PcpPolicy, Placement, ProposedPolicy, SuperVmPolicy,
     VmDescriptor,
 };
 use cavm_core::corr::CostMatrix;
+use cavm_core::dvfs::DvfsMode;
 use cavm_core::fleet::ServerHealth;
 use cavm_core::servercost::ServerCostAggregate;
+use cavm_power::PowerModel;
 use cavm_trace::TimeSeries;
 
 impl DatacenterController {
@@ -500,5 +503,113 @@ impl DatacenterController {
         self.period += 1;
         self.in_period = false;
         Ok(())
+    }
+
+    /// Replays the current sample: per-server aggregation, dynamic
+    /// DVFS, violations, energy and histograms.
+    pub(super) fn replay_tick(&mut self, sink: &mut dyn MetricSink) -> crate::Result<()> {
+        let universe = self.slots.len();
+        let k = self.clock;
+        let k_in_period = k - self.period_start;
+        let elapsed = k_in_period;
+        while self.window.len() < universe {
+            let mut w = Vec::with_capacity(self.cfg.period_samples);
+            w.resize(elapsed, 0.0);
+            self.window.push(w);
+        }
+        self.sample_buf.resize(universe, 0.0);
+        for id in 0..universe {
+            let v = sample_of(&self.slots[id], k);
+            self.sample_buf[id] = v;
+            self.window[id].push(v);
+        }
+
+        let dt = self.cfg.sample_dt_s;
+        for s in 0..self.placement.server_count() {
+            let members: &[usize] = &self.placement.servers()[s];
+            if members.is_empty() {
+                // A fully vacated server is powered off until re-used.
+                continue;
+            }
+            if self.health.get(s).is_some_and(|h| h.is_failed()) {
+                // Evacuation empties failed servers, so this arm is
+                // normally unreachable — but a failed server draws no
+                // power and can violate nothing, whatever its members
+                // claim.
+                continue;
+            }
+            let class = self.classes_of[s];
+            let capacity = self.cores_of[s];
+            let ladder = self.cfg.server_fleet.classes()[class].ladder();
+            let agg: f64 = members.iter().map(|&v| self.sample_buf[v]).sum();
+
+            if let DvfsMode::Dynamic { interval_samples } = self.cfg.dvfs_mode {
+                if k_in_period > 0 && k_in_period.is_multiple_of(interval_samples) {
+                    // Correlation-aware governors trust the measured
+                    // *aggregate* peak; correlation-blind ones must
+                    // assume per-VM peaks can coincide (Σ max ≥ max Σ).
+                    let recent = if self.cfg.policy.correlation_aware_frequency() {
+                        self.window_max_agg[s]
+                    } else {
+                        members.iter().map(|&v| self.window_max_vm[v]).sum()
+                    };
+                    let f = self
+                        .planner
+                        .dynamic_level(class, recent, self.cfg.dynamic_headroom)
+                        .map_err(SimError::Core)?;
+                    self.freq_idx[s] = ladder.index_of(f).expect("planner returns ladder levels");
+                    self.window_max_agg[s] = 0.0;
+                    for &v in members {
+                        self.window_max_vm[v] = 0.0;
+                    }
+                }
+                self.window_max_agg[s] = self.window_max_agg[s].max(agg);
+                for &v in members {
+                    self.window_max_vm[v] = self.window_max_vm[v].max(self.sample_buf[v]);
+                }
+            }
+
+            let f = ladder.get(self.freq_idx[s]).expect("index within ladder");
+            let eff_capacity = capacity * f.ratio_to(ladder.max());
+            if agg > eff_capacity + VIOLATION_EPS {
+                self.server_violations[s] += 1;
+                self.violation_instances += 1;
+                self.class_violations[class] += 1;
+                // A violation is what degrades QoS: arm the guard
+                // check for the next tick (the period ratio cannot
+                // rise between violations).
+                if self.cfg.qos_guard.is_some() {
+                    self.qos_armed = true;
+                }
+                sink.on_violation(&ViolationEvent {
+                    sample: k,
+                    period: self.period,
+                    server: s,
+                    class,
+                    demand: agg,
+                    capacity: eff_capacity,
+                });
+            }
+            let u = (agg / eff_capacity).clamp(0.0, 1.0);
+            let watts = self.cfg.server_fleet.classes()[class]
+                .power_model()
+                .power(u, f)
+                .map_err(SimError::Power)?;
+            self.class_energy[class].add(watts, dt);
+            self.freq_histogram[s][self.union_level[class][self.freq_idx[s]]] += 1;
+            self.class_freq_histogram[class][self.freq_idx[s]] += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Demand of a registered VM at global sample `k` (zero before arrival,
+/// after departure, or past the end of its trace).
+fn sample_of(slot: &Option<VmSlot>, k: usize) -> f64 {
+    match slot {
+        Some(s) if s.live && k >= s.arrival => {
+            s.trace.values().get(k - s.arrival).copied().unwrap_or(0.0)
+        }
+        _ => 0.0,
     }
 }

@@ -11,16 +11,17 @@
 //! [`crate::controller`]; driven without a lifecycle this path is
 //! bit-identical to the historical batch engine, which the
 //! `fleet_regression` golden tests pin.
-//!
-//! [`Lifecycle`]: cavm_workload::lifecycle::Lifecycle
 
 use crate::config::Scenario;
-use crate::controller::{MetricSink, ReportSink, VmEvent};
+use crate::controller::{DatacenterController, MetricSink, ReportSink, VmEvent};
 use crate::report::SimReport;
+use crate::service::lifecycle_events;
 use crate::SimError;
 use cavm_workload::faults::{FaultEntry, FaultKind};
-use cavm_workload::lifecycle::LifecycleEntry;
+use cavm_workload::lifecycle::Lifecycle;
 use std::collections::BTreeSet;
+use std::iter::Peekable;
+use std::slice;
 
 impl Scenario {
     /// Runs the scenario to completion. Deterministic: identical
@@ -41,115 +42,92 @@ impl Scenario {
     /// Runs the scenario while streaming every period, migration,
     /// violation, admission and the terminal report through `sink`.
     ///
+    /// The event stream is [`lifecycle_events`] of the configured
+    /// lifecycle (or of the closed world, [`Lifecycle::all_at_start`]),
+    /// with the fault plan's transitions interleaved per sample:
+    /// recoveries first (capacity returns before the sample's churn),
+    /// then the sample's departures and arrivals, then its failures
+    /// just before the tick.
+    ///
     /// # Errors
     ///
     /// As [`Scenario::run`].
     pub fn run_with_sink(&self, sink: &mut dyn MetricSink) -> crate::Result<()> {
         let mut controller = self.controller()?;
-        let n_samples = self.fleet.vms()[0].fine.len();
-        let periods = n_samples / self.period_samples;
-        let total = periods * self.period_samples;
-
-        // The event schedule: the configured lifecycle, or the
-        // closed-world default (everything at t = 0, nothing departs).
-        let entries: Vec<LifecycleEntry> = match &self.lifecycle {
-            Some(lifecycle) => lifecycle.entries().to_vec(),
-            None => (0..self.fleet.len())
-                .map(|id| LifecycleEntry {
-                    id,
-                    arrival_sample: 0,
-                    departure_sample: None,
-                })
-                .collect(),
+        let closed_world;
+        let lifecycle = match &self.lifecycle {
+            Some(lifecycle) => lifecycle,
+            None => {
+                let horizon = self.fleet.vms()[0].fine.len();
+                closed_world = Lifecycle::all_at_start(self.fleet.len(), horizon)?;
+                &closed_world
+            }
         };
-        let mut departures: Vec<(usize, usize)> = entries
+        let mut faults = self
+            .faults
+            .as_ref()
+            .map_or(&[][..], |plan| plan.entries())
             .iter()
-            .filter_map(|e| e.departure_sample.map(|d| (d, e.id)))
-            .filter(|&(d, _)| d < total)
-            .collect();
-        departures.sort_unstable();
-        let fault_entries: &[FaultEntry] = self.faults.as_ref().map_or(&[], |p| p.entries());
-
-        let mut next_arrival = 0usize;
-        let mut next_departure = 0usize;
-        let mut next_fault = 0usize;
+            .peekable();
         // Servers currently down, as the engine has applied them. The
         // plan may legitimately schedule overlapping transitions (a
         // correlated outage over an independent failure); this set
-        // keeps the injection idempotent. Transitions aimed at servers
-        // the controller has not provisioned yet are skipped — a rack
-        // that never powered on cannot fail.
+        // keeps the injection idempotent.
         let mut down: BTreeSet<usize> = BTreeSet::new();
-        for k in 0..total {
-            // Per-sample delivery order: recoveries first (capacity
-            // returns before this sample's churn), then departures,
-            // arrivals, failures, and finally the tick.
-            while next_fault < fault_entries.len()
-                && fault_entries[next_fault].sample == k
-                && fault_entries[next_fault].kind == FaultKind::Recover
-            {
-                let server = fault_entries[next_fault].server;
-                if down.remove(&server) {
-                    controller.apply(VmEvent::ServerRecover { server }, sink)?;
-                }
-                next_fault += 1;
+        let mut sample = 0usize;
+        let mut sample_open = false;
+        for event in lifecycle_events(&self.fleet, lifecycle, self.period_samples)? {
+            if !sample_open {
+                apply_faults(&mut controller, &mut faults, &mut down, sample, true, sink)?;
+                sample_open = true;
             }
-            while next_departure < departures.len() && departures[next_departure].0 == k {
-                controller.apply(
-                    VmEvent::Depart {
-                        id: departures[next_departure].1,
-                    },
-                    sink,
-                )?;
-                next_departure += 1;
+            let tick = matches!(event, VmEvent::Tick);
+            if tick {
+                apply_faults(&mut controller, &mut faults, &mut down, sample, false, sink)?;
             }
-            while next_arrival < entries.len() && entries[next_arrival].arrival_sample == k {
-                let entry = &entries[next_arrival];
-                let end = entry.departure_sample.map_or(total, |d| d.min(total));
-                let trace = self.fleet.vms()[entry.id]
-                    .fine
-                    .slice(entry.arrival_sample, end)
-                    .map_err(SimError::Trace)?;
-                // The schedule knows each lease up front; admission
-                // uses it to keep soon-empty servers drainable.
-                let lease_samples = entry
-                    .departure_sample
-                    .map(|d| d.saturating_sub(entry.arrival_sample));
-                controller.apply(
-                    VmEvent::Arrive {
-                        id: entry.id,
-                        trace,
-                        lease_samples,
-                    },
-                    sink,
-                )?;
-                next_arrival += 1;
+            controller.apply(event, sink)?;
+            if tick {
+                sample += 1;
+                sample_open = false;
             }
-            while next_fault < fault_entries.len() && fault_entries[next_fault].sample == k {
-                let FaultEntry { kind, server, .. } = fault_entries[next_fault];
-                match kind {
-                    FaultKind::Fail => {
-                        if !down.contains(&server) && server < controller.placement().server_count()
-                        {
-                            controller.apply(VmEvent::ServerFail { server }, sink)?;
-                            down.insert(server);
-                        }
-                    }
-                    // A same-sample Recover after a Fail (builder plans
-                    // rank recoveries first, but hand-built plans may
-                    // not) still applies.
-                    FaultKind::Recover => {
-                        if down.remove(&server) {
-                            controller.apply(VmEvent::ServerRecover { server }, sink)?;
-                        }
-                    }
-                }
-                next_fault += 1;
-            }
-            controller.apply(VmEvent::Tick, sink)?;
         }
         controller.finish(sink)
     }
+}
+
+/// Applies the fault plan's transitions at `sample` — only its leading
+/// recoveries when `recoveries_only`. Transitions aimed at servers the
+/// controller has not provisioned yet are skipped (a rack that never
+/// powered on cannot fail), and a same-sample recovery after a failure
+/// (builder plans rank recoveries first, but hand-built plans may not)
+/// still applies.
+fn apply_faults(
+    controller: &mut DatacenterController,
+    faults: &mut Peekable<slice::Iter<'_, FaultEntry>>,
+    down: &mut BTreeSet<usize>,
+    sample: usize,
+    recoveries_only: bool,
+    sink: &mut dyn MetricSink,
+) -> crate::Result<()> {
+    while let Some(entry) = faults.next_if(|f| {
+        f.sample == sample && (!recoveries_only || f.kind == FaultKind::Recover)
+    }) {
+        let server = entry.server;
+        match entry.kind {
+            FaultKind::Recover => {
+                if down.remove(&server) {
+                    controller.apply(VmEvent::ServerRecover { server }, sink)?;
+                }
+            }
+            FaultKind::Fail => {
+                if !down.contains(&server) && server < controller.placement().server_count() {
+                    controller.apply(VmEvent::ServerFail { server }, sink)?;
+                    down.insert(server);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

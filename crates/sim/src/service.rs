@@ -18,8 +18,8 @@
 //!
 //! The free functions bridge from the workload layer:
 //! [`lifecycle_events`] lowers a churn [`Lifecycle`] over a [`VmFleet`]
-//! into the exact fault-free [`VmEvent`] stream the batch engine
-//! ([`Scenario::run`](crate::Scenario::run)) would deliver, and
+//! into the fault-free [`VmEvent`] stream the batch engine
+//! ([`Scenario::run`](crate::Scenario::run)) is built on, and
 //! [`interleave`] round-robins per-session streams into one host
 //! schedule.
 //!
@@ -258,18 +258,16 @@ impl SessionHost {
     }
 }
 
-/// Lowers a churn [`Lifecycle`] over `fleet` into the exact fault-free
-/// event stream the batch engine would deliver: per sample, departures
-/// first (sorted by `(sample, id)`), then arrivals in entry order with
-/// the trace sliced from arrival to departure and the lease attached,
-/// then the [`VmEvent::Tick`]. The horizon is truncated to whole
-/// placement periods, exactly like
-/// [`Scenario::run`](crate::Scenario::run).
+/// Lowers a churn [`Lifecycle`] over `fleet` into its fault-free event
+/// stream: per sample, departures first (sorted by `(sample, id)`),
+/// then arrivals in entry order with the trace sliced from arrival to
+/// departure and the lease attached, then the [`VmEvent::Tick`]. The
+/// horizon is truncated to whole placement periods.
 ///
-/// Driving a fresh controller with this stream is bit-identical to the
-/// engine replay of the same scenario (pinned by this module's tests),
-/// which is what lets a [`SessionHost`] schedule reproduce engine
-/// results session by session.
+/// [`Scenario::run`](crate::Scenario::run) drives its controller with
+/// exactly this stream (interleaving any fault plan per sample), which
+/// is what lets a [`SessionHost`] schedule reproduce engine results
+/// session by session.
 ///
 /// # Errors
 ///
