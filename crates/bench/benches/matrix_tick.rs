@@ -37,15 +37,6 @@ fn bench(c: &mut Criterion) {
             })
         });
 
-        let mut par = CostMatrix::new(n, Reference::Peak).expect("valid size");
-        group.bench_with_input(BenchmarkId::new("soa_peak_par", n), &n, |b, _| {
-            b.iter(|| {
-                par.par_push_sample(black_box(&utils))
-                    .expect("matching width");
-                black_box(par.samples())
-            })
-        });
-
         if n <= 1024 {
             let mut seed = PairwiseCostMatrix::new(n, Reference::Peak).expect("valid size");
             group.bench_with_input(BenchmarkId::new("seed_peak", n), &n, |b, _| {

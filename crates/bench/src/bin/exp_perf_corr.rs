@@ -3,7 +3,7 @@
 //! Measures, with plain `Instant` timing (no external harness):
 //!
 //! * **matrix tick** — ns per fleet-wide `push_sample` for the SoA
-//!   kernel (Peak and P95, serial and parallel) and for the seed
+//!   kernel (Peak and P95) and for the seed
 //!   per-pair path, at n ∈ {64, 256, 1024, 4096} (seed capped at 1024:
 //!   its ~640 B/pair layout would need ~5 GB at 4096);
 //! * **allocation** — ns per full ALLOCATE pass of the proposed policy
@@ -15,10 +15,7 @@
 //!   `prev_proposed_ns_per_placement`, so an optimization PR records
 //!   its own before/after in one regeneration.
 //!
-//! Every row also records the core count it was measured on; on a
-//! 1-core host the parallel kernel is not measured at all (the row
-//! reads `null`) — a "parallel" number from a serial machine is noise,
-//! not data.
+//! Every row also records the core count it was measured on.
 //!
 //! Rewrites only its own sections of `BENCH_corr.json` (repo root when
 //! run from there): every other top-level section — appended by the
@@ -30,7 +27,7 @@
 //! cargo run --release -p cavm-bench --bin exp_perf_corr
 //! ```
 
-use cavm_bench::artifact;
+use cavm_bench::{artifact, median_ns};
 use cavm_core::alloc::{AllocationPolicy, BfdPolicy, ProposedPolicy, VmDescriptor};
 use cavm_core::corr::baseline::PairwiseCostMatrix;
 use cavm_core::corr::CostMatrix;
@@ -39,7 +36,6 @@ use cavm_power::LinearPowerModel;
 use cavm_trace::{Reference, SimRng};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 const MATRIX_SIZES: [usize; 4] = [64, 256, 1024, 4096];
 const SEED_MATRIX_CAP: usize = 1024;
@@ -48,20 +44,6 @@ const ALLOC_SIZES: [usize; 3] = [64, 256, 1024];
 fn sample(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = SimRng::new(seed);
     (0..n).map(|_| rng.f64() * 4.0).collect()
-}
-
-/// Median ns of `reps` timed invocations of `f` (after one warm-up).
-fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    times[times.len() / 2]
 }
 
 /// Repetition count scaled so small sizes average more runs.
@@ -73,7 +55,6 @@ struct MatrixRow {
     n: usize,
     soa_peak_ns: f64,
     soa_p95_ns: f64,
-    soa_peak_par_ns: Option<f64>,
     seed_peak_ns: Option<f64>,
 }
 
@@ -87,7 +68,7 @@ struct AllocRow {
     prev_proposed_ns: Option<f64>,
 }
 
-fn measure_matrix(n: usize, cores: usize) -> MatrixRow {
+fn measure_matrix(n: usize) -> MatrixRow {
     let utils = sample(n, n as u64);
     let reps = reps_for(n);
 
@@ -96,15 +77,6 @@ fn measure_matrix(n: usize, cores: usize) -> MatrixRow {
 
     let mut p95 = CostMatrix::new(n, Reference::Percentile(95.0)).expect("valid size");
     let soa_p95_ns = median_ns(reps, || p95.push_sample(black_box(&utils)).expect("width"));
-
-    // On a 1-core host the parallel kernel degenerates to the serial
-    // one plus thread overhead: skip the measurement entirely.
-    let soa_peak_par_ns = (cores > 1).then(|| {
-        let mut par = CostMatrix::new(n, Reference::Peak).expect("valid size");
-        median_ns(reps, || {
-            par.par_push_sample(black_box(&utils)).expect("width")
-        })
-    });
 
     let seed_peak_ns = (n <= SEED_MATRIX_CAP).then(|| {
         let mut seed = PairwiseCostMatrix::new(n, Reference::Peak).expect("valid size");
@@ -117,7 +89,6 @@ fn measure_matrix(n: usize, cores: usize) -> MatrixRow {
         n,
         soa_peak_ns,
         soa_p95_ns,
-        soa_peak_par_ns,
         seed_peak_ns,
     }
 }
@@ -218,14 +189,12 @@ fn main() {
     let matrix_rows: Vec<MatrixRow> = MATRIX_SIZES
         .iter()
         .map(|&n| {
-            let row = measure_matrix(n, cores);
+            let row = measure_matrix(n);
             eprintln!(
-                "  n={:4}: soa {:>12.0} ns/tick  p95 {:>12.0} ns/tick  par {}  seed {}",
+                "  n={:4}: soa {:>12.0} ns/tick  p95 {:>12.0} ns/tick  seed {}",
                 n,
                 row.soa_peak_ns,
                 row.soa_p95_ns,
-                row.soa_peak_par_ns
-                    .map_or("skipped (1 core)".into(), |v| format!("{v:.0} ns/tick")),
                 row.seed_peak_ns
                     .map_or("-".into(), |v| format!("{v:.0} ns/tick")),
             );
@@ -267,7 +236,7 @@ fn main() {
     let _ = writeln!(out, "  \"cores\": {cores},");
     let _ = writeln!(
         out,
-        "  \"note\": \"seed_peak is the retained per-pair baseline (PairwiseCostMatrix); null above n={SEED_MATRIX_CAP}. par uses std::thread chunked rows; not measured (null) on 1-core hosts. prev_proposed_ns_per_placement is the previous artifact's timing (before/after across allocator changes).\","
+        "  \"note\": \"seed_peak is the retained per-pair baseline (PairwiseCostMatrix); null above n={SEED_MATRIX_CAP}. prev_proposed_ns_per_placement is the previous artifact's timing (before/after across allocator changes).\","
     );
     out.push_str("  \"matrix_tick\": [\n");
     for (i, r) in matrix_rows.iter().enumerate() {
@@ -275,21 +244,15 @@ fn main() {
             .seed_peak_ns
             .map(|seed| format!("{:.2}", seed / r.soa_peak_ns))
             .unwrap_or_else(|| "null".to_string());
-        let par_speedup = r
-            .soa_peak_par_ns
-            .map(|par| format!("{:.2}", r.soa_peak_ns / par))
-            .unwrap_or_else(|| "null".to_string());
         let _ = write!(
             out,
-            "    {{\"n\": {}, \"cores\": {}, \"soa_peak_ns_per_tick\": {:.0}, \"soa_p95_ns_per_tick\": {:.0}, \"soa_peak_par_ns_per_tick\": {}, \"seed_peak_ns_per_tick\": {}, \"speedup_vs_seed\": {}, \"par_speedup_vs_serial\": {}}}",
+            "    {{\"n\": {}, \"cores\": {}, \"soa_peak_ns_per_tick\": {:.0}, \"soa_p95_ns_per_tick\": {:.0}, \"seed_peak_ns_per_tick\": {}, \"speedup_vs_seed\": {}}}",
             r.n,
             cores,
             r.soa_peak_ns,
             r.soa_p95_ns,
-            json_opt(r.soa_peak_par_ns),
             json_opt(r.seed_peak_ns),
             speedup,
-            par_speedup,
         );
         out.push_str(if i + 1 < matrix_rows.len() {
             ",\n"

@@ -26,7 +26,7 @@
 //! cargo run --release -p cavm-bench --bin exp_scale
 //! ```
 
-use cavm_bench::env;
+use cavm_bench::{env, median_ns};
 use cavm_core::cells::CellFleet;
 use cavm_core::corr::CostMatrix;
 use cavm_core::dvfs::DvfsMode;
@@ -44,20 +44,6 @@ const PERIOD_SAMPLES: usize = SAMPLES_PER_HOUR; // hourly re-pack, as in the pap
 const MEAN_LEASE_SAMPLES: f64 = 1.5 * SAMPLES_PER_HOUR as f64;
 /// Arrivals land in the first 80% of the horizon so late VMs still live.
 const ARRIVAL_WINDOW: f64 = 0.8;
-
-/// Median ns of `reps` timed invocations of `f` (after one warm-up).
-fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    times[times.len() / 2]
-}
 
 struct TickBench {
     n: usize,

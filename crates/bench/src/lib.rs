@@ -84,6 +84,20 @@ pub fn bar(fraction: f64, width: usize) -> String {
     s
 }
 
+/// Median ns of `reps` timed invocations of `f` (after one warm-up).
+pub fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64
+        })
+        .collect();
+    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    times[times.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

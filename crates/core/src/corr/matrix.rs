@@ -37,19 +37,6 @@
 //! smaller and the fleet tick ([`CostMatrix::push_sample`]) touches
 //! `n(n-1)/2 · 8` bytes instead of `· ~640`.
 //!
-//! # Parallel ticks
-//!
-//! With the `parallel` feature (default on),
-//! [`CostMatrix::par_push_sample`] and
-//! [`CostMatrix::par_push_columns`] split the triangle into
-//! near-equal-pair row chunks and update them on scoped `std::thread`s.
-//! (The build environment has no crate registry, so this uses the
-//! standard library rather than rayon; the chunking is embarrassingly
-//! parallel either way.) Each pair is still updated by exactly one
-//! thread in tick order, so parallel results are bit-identical to
-//! serial ones — the equivalence tests in `tests/soa_equivalence.rs`
-//! pin this.
-//!
 //! Batch window replay ([`CostMatrix::push_columns`]) walks the
 //! triangle *pair-major* instead of tick-major: each pair's slot is
 //! updated over the whole window while it is hot in cache, instead of
@@ -66,39 +53,6 @@ use serde::{Deserialize, Serialize};
 fn pair_index(n: usize, i: usize, j: usize) -> usize {
     debug_assert!(i < j && j < n);
     i * (2 * n - i - 1) / 2 + (j - i - 1)
-}
-
-/// Offset of row `i`'s first pair `(i, i+1)` in the triangle.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-#[inline]
-fn row_offset(n: usize, i: usize) -> usize {
-    i * (2 * n - i - 1) / 2
-}
-
-/// Splits rows `0..n-1` into at most `threads` contiguous chunks of
-/// near-equal *pair* count. Returns `(row_start, row_end)` half-open
-/// ranges; empty when `n < 2`.
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-fn row_chunks(n: usize, threads: usize) -> Vec<(usize, usize)> {
-    let pairs = n * (n - 1) / 2;
-    if pairs == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n.saturating_sub(1));
-    let target = pairs.div_ceil(threads);
-    let mut chunks = Vec::with_capacity(threads);
-    let mut row = 0;
-    while row + 1 < n {
-        let mut end = row;
-        let mut acc = 0;
-        while end + 1 < n && acc < target {
-            acc += n - end - 1;
-            end += 1;
-        }
-        chunks.push((row, end));
-        row = end;
-    }
-    chunks
 }
 
 /// Monomorphized streaming storage behind the matrix.
@@ -495,197 +449,6 @@ impl CostMatrix {
     }
 }
 
-#[cfg(feature = "parallel")]
-impl CostMatrix {
-    /// [`Self::push_sample`] with the triangle update fanned out over
-    /// all available cores. Bit-identical to the serial path: each pair
-    /// is updated by exactly one thread, in tick order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::SampleCountMismatch`] when `utils.len() != n`.
-    pub fn par_push_sample(&mut self, utils: &[f64]) -> crate::Result<()> {
-        self.par_push_sample_threads(utils, default_threads())
-    }
-
-    /// [`Self::par_push_sample`] with an explicit thread count
-    /// (`threads == 1` falls back to the serial kernel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::SampleCountMismatch`] when `utils.len() != n`.
-    pub fn par_push_sample_threads(&mut self, utils: &[f64], threads: usize) -> crate::Result<()> {
-        let chunks = row_chunks(self.n, threads);
-        if chunks.len() <= 1 {
-            return self.push_sample(utils);
-        }
-        self.check_width(utils.len())?;
-        let n = self.n;
-        match &mut self.storage {
-            Storage::Peak { vm_peak, pair_peak } => {
-                std::thread::scope(|scope| {
-                    for ((row_start, row_end), plane) in
-                        chunked_rows(n, &chunks, pair_peak.as_mut_slice())
-                    {
-                        scope.spawn(move || {
-                            peak_tick_rows(n, row_start, row_end, utils, plane);
-                        });
-                    }
-                });
-                for (slot, &u) in vm_peak.iter_mut().zip(utils) {
-                    *slot = slot.max(u);
-                }
-            }
-            Storage::Percentile {
-                clock,
-                vm_cells,
-                pair_cells,
-            } => {
-                clock.tick();
-                for (cell, &u) in vm_cells.iter_mut().zip(utils) {
-                    cell.push(u, clock);
-                }
-                let clock = &*clock;
-                std::thread::scope(|scope| {
-                    for ((row_start, row_end), plane) in
-                        chunked_rows(n, &chunks, pair_cells.as_mut_slice())
-                    {
-                        scope.spawn(move || {
-                            p2_tick_rows(n, row_start, row_end, utils, plane, clock);
-                        });
-                    }
-                });
-            }
-        }
-        self.samples += 1;
-        Ok(())
-    }
-
-    /// [`Self::push_columns`] with the triangle replay fanned out over
-    /// all available cores. Bit-identical to the serial batch path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::push_columns`].
-    pub fn par_push_columns(
-        &mut self,
-        traces: &[&TimeSeries],
-        start: usize,
-        end: usize,
-    ) -> crate::Result<()> {
-        self.par_push_columns_threads(traces, start, end, default_threads())
-    }
-
-    /// [`Self::par_push_columns`] with an explicit thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::push_columns`].
-    pub fn par_push_columns_threads(
-        &mut self,
-        traces: &[&TimeSeries],
-        start: usize,
-        end: usize,
-        threads: usize,
-    ) -> crate::Result<()> {
-        let chunks = row_chunks(self.n, threads);
-        if chunks.len() <= 1 {
-            return self.push_columns(traces, start, end);
-        }
-        self.validate_columns(traces, start, end)?;
-        let n = self.n;
-        let ticks = (end - start) as u64;
-        match &mut self.storage {
-            Storage::Peak { vm_peak, pair_peak } => {
-                for (slot, t) in vm_peak.iter_mut().zip(traces) {
-                    for &u in &t.values()[start..end] {
-                        *slot = slot.max(u);
-                    }
-                }
-                std::thread::scope(|scope| {
-                    for ((row_start, row_end), plane) in
-                        chunked_rows(n, &chunks, pair_peak.as_mut_slice())
-                    {
-                        scope.spawn(move || {
-                            peak_window_rows(n, row_start, row_end, traces, start, end, plane);
-                        });
-                    }
-                });
-            }
-            Storage::Percentile {
-                clock,
-                vm_cells,
-                pair_cells,
-            } => {
-                let snapshot = clock.clone();
-                for (cell, t) in vm_cells.iter_mut().zip(traces) {
-                    let mut local = snapshot.clone();
-                    for &u in &t.values()[start..end] {
-                        local.tick();
-                        cell.push(u, &local);
-                    }
-                }
-                let snapshot_ref = &snapshot;
-                std::thread::scope(|scope| {
-                    for ((row_start, row_end), plane) in
-                        chunked_rows(n, &chunks, pair_cells.as_mut_slice())
-                    {
-                        scope.spawn(move || {
-                            p2_window_rows(
-                                n,
-                                row_start,
-                                row_end,
-                                traces,
-                                start,
-                                end,
-                                plane,
-                                snapshot_ref,
-                            );
-                        });
-                    }
-                });
-                for _ in start..end {
-                    clock.tick();
-                }
-            }
-        }
-        self.samples += ticks;
-        Ok(())
-    }
-}
-
-#[cfg(feature = "parallel")]
-fn default_threads() -> usize {
-    // `available_parallelism` is a syscall; resolve it once, not on
-    // every monitoring tick.
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    })
-}
-
-/// Splits a triangle plane into the per-chunk mutable row slices
-/// described by `chunks`.
-#[cfg(feature = "parallel")]
-fn chunked_rows<'a, T>(
-    n: usize,
-    chunks: &'a [(usize, usize)],
-    mut plane: &'a mut [T],
-) -> impl Iterator<Item = ((usize, usize), &'a mut [T])> {
-    let mut consumed = 0;
-    chunks.iter().map(move |&(row_start, row_end)| {
-        let chunk_end = row_offset(n, row_end);
-        // `plane` walks forward through the original slice; `consumed`
-        // tracks how many pair slots earlier chunks took.
-        let (head, tail) = std::mem::take(&mut plane).split_at_mut(chunk_end - consumed);
-        plane = tail;
-        consumed = chunk_end;
-        ((row_start, row_end), head)
-    })
-}
-
 /// One tick of the Peak kernel over rows `[row_start, row_end)`.
 /// `plane` is the sub-slice of the pair plane covering exactly those
 /// rows.
@@ -825,28 +588,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 15);
         assert_eq!(*seen.iter().max().unwrap(), 14);
-    }
-
-    #[test]
-    fn row_chunks_partition_the_triangle() {
-        for n in [2usize, 3, 5, 17, 64] {
-            for threads in [1usize, 2, 3, 4, 9] {
-                let chunks = row_chunks(n, threads);
-                assert!(chunks.len() <= threads.max(1));
-                assert_eq!(chunks.first().map(|c| c.0), Some(0));
-                assert_eq!(chunks.last().map(|c| c.1), Some(n - 1));
-                let mut pairs = 0;
-                for w in chunks.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "chunks must be contiguous");
-                }
-                for &(a, b) in &chunks {
-                    assert!(a < b);
-                    pairs += row_offset(n, b) - row_offset(n, a);
-                }
-                assert_eq!(pairs, n * (n - 1) / 2);
-            }
-        }
-        assert!(row_chunks(1, 4).is_empty());
     }
 
     #[test]
@@ -1016,32 +757,5 @@ mod tests {
         assert_eq!(m.cost(1, 1), Some(1.0));
         assert!(CostMatrix::from_costs(3, vec![1.0]).is_err());
         assert!(CostMatrix::from_costs(0, vec![]).is_err());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_tick_is_bit_identical() {
-        let mut rng = cavm_trace::SimRng::new(5);
-        for reference in [Reference::Peak, Reference::Percentile(95.0)] {
-            let n = 23;
-            let mut serial = CostMatrix::new(n, reference).unwrap();
-            let mut parallel = CostMatrix::new(n, reference).unwrap();
-            for _ in 0..40 {
-                let sample: Vec<f64> = (0..n).map(|_| rng.f64() * 4.0).collect();
-                serial.push_sample(&sample).unwrap();
-                parallel.par_push_sample_threads(&sample, 4).unwrap();
-            }
-            for i in 0..n {
-                for j in 0..n {
-                    let (a, b) = (serial.cost(i, j), parallel.cost(i, j));
-                    assert_eq!(
-                        a.map(f64::to_bits),
-                        b.map(f64::to_bits),
-                        "pair ({i},{j}) under {reference:?}"
-                    );
-                }
-            }
-            assert_eq!(serial.samples(), parallel.samples());
-        }
     }
 }

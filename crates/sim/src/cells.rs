@@ -185,7 +185,7 @@ impl MetricSink for CellSink<'_> {
 /// [module docs](self).
 ///
 /// Like the flat controller the whole session is `Clone`-able:
-/// [`snapshot`](Self::snapshot)/[`fork`](Self::fork) copy **cell-wise**
+/// [`fork`](Self::fork) copies **cell-wise**
 /// (each cell's flat controller clones independently, plus the O(cells)
 /// routing tables), so a fork of a 256-cell session costs the sum of
 /// 256 small per-cell clones, never a fleet-wide dense matrix.

@@ -948,54 +948,4 @@ mod tests {
             .build()
             .is_err());
     }
-
-    fn config_with(
-        overcommit: Option<OvercommitConfig>,
-        guard: Option<QosGuard>,
-    ) -> ControllerConfig {
-        ControllerConfig {
-            server_fleet: ServerFleet::uniform(
-                8,
-                8.0,
-                cavm_power::LinearPowerModel::xeon_e5410(),
-            )
-            .unwrap(),
-            policy: Policy::Proposed(Default::default()),
-            repack_trigger: RepackTrigger::Periodic,
-            qos_guard: guard,
-            adaptive_slack_max: None,
-            overcommit,
-            dvfs_mode: DvfsMode::Static,
-            period_samples: 16,
-            reference: Reference::Peak,
-            dynamic_headroom: 0.1,
-            default_demand: 1.0,
-            sample_dt_s: 5.0,
-            max_deferred: 64,
-        }
-    }
-
-    #[test]
-    fn overcommit_config_validation() {
-        let guard = Some(QosGuard {
-            violation_ratio: 0.05,
-        });
-        let oc = |margin, max_margin| Some(OvercommitConfig { margin, max_margin });
-
-        config_with(oc(0.0, 0.25), guard)
-            .validate()
-            .expect("margin 0 with a guard is valid");
-        assert!(
-            config_with(oc(0.0, 0.25), None).validate().is_err(),
-            "overcommit requires the guard"
-        );
-        assert!(
-            config_with(oc(0.0, 0.0), guard).validate().is_err(),
-            "max_margin must be positive"
-        );
-        assert!(
-            config_with(oc(0.5, 0.25), guard).validate().is_err(),
-            "margin must not exceed max_margin"
-        );
-    }
 }

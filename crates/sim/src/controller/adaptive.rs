@@ -23,7 +23,8 @@ use serde::{Deserialize, Serialize};
 /// ([`ServerFleet::estimate_server_count`] of the packed predicted
 /// demand) and fire an *off-cycle* re-pack as soon as it drops at
 /// least `slack` servers below
-/// [`Placement::active_server_count`] — checked at the first tick
+/// [`Placement::active_server_count`](cavm_core::alloc::Placement::active_server_count)
+/// — checked at the first tick
 /// after a departure evicts a placed VM (between membership changes
 /// the predicate cannot change, so nothing else is ever checked).
 ///
@@ -104,7 +105,8 @@ impl RepackTrigger {
 }
 
 /// The QoS dimension of the re-pack schedule, composable with any
-/// [`RepackTrigger`] via [`ControllerConfig::qos_guard`] /
+/// [`RepackTrigger`] via
+/// [`ControllerConfig::qos_guard`](super::ControllerConfig::qos_guard) /
 /// `ScenarioBuilder::qos_guard`.
 ///
 /// A pure [`RepackTrigger::Fragmentation`] schedule keeps placements
@@ -175,7 +177,8 @@ impl QosGuard {
 ///   the nearly-drained end of a departure-heavy day, where each
 ///   re-pack frees a server for a handful of migrations).
 ///
-/// The in-effect value streams on every [`RepackEvent::slack_after`].
+/// The in-effect value streams on every
+/// [`RepackEvent::slack_after`](crate::RepackEvent::slack_after).
 ///
 /// ```
 /// use cavm_sim::SlackController;
@@ -276,7 +279,7 @@ impl SlackController {
 }
 
 /// Deliberate correlation-gap overcommit, threaded through
-/// [`ControllerConfig::overcommit`] /
+/// [`ControllerConfig::overcommit`](super::ControllerConfig::overcommit) /
 /// `ScenarioBuilder::overcommit`.
 ///
 /// With a margin in effect, incremental admission and the batch re-pack
@@ -626,78 +629,5 @@ impl DatacenterController {
         for (class, ctl) in ctls.iter_mut().enumerate() {
             ctl.observe_period(worst[class], guard);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression for the decay-streak bug: a zero-migration re-pack
-    /// carries no cost signal, so it must leave an in-progress miss
-    /// streak untouched. The broken `observe` cleared `misses` before
-    /// its `migrations == 0` early return, letting a cost-free re-pack
-    /// indefinitely postpone the slack decay.
-    #[test]
-    fn cost_free_repack_does_not_interrupt_miss_streak() {
-        let mut ctl = SlackController::new(1, 3);
-        ctl.observe(1, 8); // expensive: slack 1 -> 2
-        assert_eq!(ctl.current(), 2);
-        ctl.observe_miss(1); // streak 1 of MISS_STREAK=2
-        ctl.observe(0, 0); // cost-free re-pack: no signal
-        ctl.observe_miss(1); // streak completes -> decay
-        assert_eq!(
-            ctl.current(),
-            1,
-            "a zero-migration observe must not reset the miss streak"
-        );
-    }
-
-    /// A priced observation (migrations > 0) legitimately resets the
-    /// streak — only the cost-free case was the bug.
-    #[test]
-    fn priced_repack_still_resets_miss_streak() {
-        let mut ctl = SlackController::new(1, 3);
-        ctl.observe(1, 8); // slack 1 -> 2
-        ctl.observe_miss(1); // streak 1
-        ctl.observe(1, 3); // priced, mid-band: holds slack, resets streak
-        ctl.observe_miss(1); // streak 1 again, not 2
-        assert_eq!(ctl.current(), 2, "a priced observe must reset the streak");
-        ctl.observe_miss(1);
-        assert_eq!(ctl.current(), 1);
-    }
-
-    #[test]
-    fn overcommit_controller_walks_within_bounds() {
-        let guard = 0.05;
-        let mut ctl = OvercommitController::new(0.0, 0.10);
-        // Comfortable periods grow the margin in STEP increments after
-        // RAISE_STREAK, never past the ceiling.
-        for _ in 0..20 {
-            ctl.observe_period(0.0, guard);
-            assert!(ctl.current() <= ctl.max() + 1e-12);
-            assert!(ctl.current() >= 0.0);
-        }
-        assert!(
-            (ctl.current() - 0.10).abs() < 1e-9,
-            "sustained headroom reaches the ceiling"
-        );
-        // A breach shrinks immediately.
-        ctl.observe_period(0.20, guard);
-        assert!((ctl.current() - 0.05).abs() < 1e-9);
-        // Middle band (acceptable but not comfortable) holds.
-        ctl.observe_period(0.04, guard);
-        assert!((ctl.current() - 0.05).abs() < 1e-9);
-        // And the middle band resets the raise streak: one comfortable
-        // period after it must not grow yet.
-        ctl.observe_period(0.0, guard);
-        assert!((ctl.current() - 0.05).abs() < 1e-9);
-        ctl.observe_period(0.0, guard);
-        assert!((ctl.current() - 0.10).abs() < 1e-9);
-        // Repeated breaches floor at zero.
-        for _ in 0..5 {
-            ctl.observe_period(0.9, guard);
-        }
-        assert_eq!(ctl.current(), 0.0);
     }
 }

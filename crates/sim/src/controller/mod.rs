@@ -60,14 +60,17 @@
 //! [`Scenario::run`]: crate::config::Scenario::run
 //! [`AllocationPolicy::place_one`]: cavm_core::alloc::AllocationPolicy::place_one
 
-
 mod adaptive;
 mod admit;
 mod boundary;
+#[cfg(test)]
+mod tests;
 mod what_if;
 
 pub use crate::config::ControllerConfig;
-pub use crate::sink::{MetricSink, NullSink, RepackEvent, RepackReason, ReportSink, ViolationEvent};
+pub use crate::sink::{
+    MetricSink, NullSink, RepackEvent, RepackReason, ReportSink, ViolationEvent,
+};
 pub use adaptive::{
     OvercommitConfig, OvercommitController, QosGuard, RepackTrigger, SlackController,
 };

@@ -109,9 +109,9 @@ fn apply_faults(
     recoveries_only: bool,
     sink: &mut dyn MetricSink,
 ) -> crate::Result<()> {
-    while let Some(entry) = faults.next_if(|f| {
-        f.sample == sample && (!recoveries_only || f.kind == FaultKind::Recover)
-    }) {
+    while let Some(entry) =
+        faults.next_if(|f| f.sample == sample && (!recoveries_only || f.kind == FaultKind::Recover))
+    {
         let server = entry.server;
         match entry.kind {
             FaultKind::Recover => {
