@@ -170,8 +170,8 @@ struct VmSlot {
     last_off: Option<f64>,
 }
 
-/// The descriptor of an id with nothing to place: departed, queued
-/// out of the placement, or never registered.
+/// The descriptor of an id with nothing to place: departed or never
+/// registered.
 fn vacant(id: usize) -> VmDescriptor {
     VmDescriptor::new(id, 0.0).with_off_peak(0.0)
 }
